@@ -16,9 +16,12 @@ three hard checks:
   every roster program under the interpreter with a range probe
   attached; any observed value escaping its inferred interval fails.
 
-Fixpoint wall time is reported per program and gated against a budget
-(the engine is run inside dataset assembly, so a slow fixpoint is a
-regression, not a curiosity).
+Fixpoint cost is gated twice (the engine is run inside dataset
+assembly, so a slow fixpoint is a regression, not a curiosity): the
+roster total of block transfers (``ProgramRanges.transfers``, a
+deterministic count) must not exceed the count this engine runs, and
+each program's wall time must stay under a budget that only a
+pathologically diverging fixpoint reaches.
 
 Results are appended to ``benchmark_results/results_static_analysis.txt``.
 
@@ -42,6 +45,10 @@ TINY_APPS = ("EP", "IS", "fib", "nqueens")
 # per-program fixpoint budget (seconds); the tiny roster runs in ~tens
 # of milliseconds, so 2s means "pathologically diverging", not "slow CI"
 FIXPOINT_BUDGET_S = 2.0
+
+# roster total of fixpoint block transfers, as measured for the current
+# engine (memoized array rounds); any extra work fails the gate
+TRANSFER_BUDGET = 6998
 
 QUICK_SEEDS = (0,)
 FULL_SEEDS = (0, 1, 2)
@@ -67,6 +74,7 @@ def run(quick: bool, record) -> int:
     violations = []
     slow = []
     fixpoint_total = 0.0
+    transfers = 0
     programs = 0
 
     for name in TINY_APPS:
@@ -79,6 +87,7 @@ def run(quick: bool, record) -> int:
             ranges = analyze_program(ir)
             fixpoint_s = time.perf_counter() - t0
             fixpoint_total += fixpoint_s
+            transfers += ranges.transfers
             if fixpoint_s > FIXPOINT_BUDGET_S:
                 slow.append(f"{program.name}: fixpoint {fixpoint_s:.2f}s")
 
@@ -131,6 +140,10 @@ def run(quick: bool, record) -> int:
         f"programs ({fixpoint_total / max(programs, 1) * 1e3:.1f}ms avg, "
         f"budget {FIXPOINT_BUDGET_S:.1f}s each)"
     )
+    record(
+        f"fixpoint block transfers: {transfers} "
+        f"(budget {TRANSFER_BUDGET})"
+    )
     record(f"soundness violations: {len(violations)}")
 
     failures = []
@@ -149,6 +162,11 @@ def run(quick: bool, record) -> int:
     )
     failures.extend(f"soundness: {v}" for v in violations[:5])
     failures.extend(f"fixpoint over budget: {s}" for s in slow)
+    if transfers > TRANSFER_BUDGET:
+        failures.append(
+            f"fixpoint ran {transfers} block transfers, budget "
+            f"{TRANSFER_BUDGET}"
+        )
 
     for failure in failures:
         record(f"FAIL: {failure}")

@@ -75,12 +75,34 @@ _ARRAY_ROUNDS = 4
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Interval:
-    """A closed interval ``[lo, hi]``; ``lo > hi`` encodes ⊥ (no value)."""
+    """A closed interval ``[lo, hi]``; ``lo > hi`` encodes ⊥ (no value).
 
-    lo: float
-    hi: float
+    Immutable by convention: transfer functions share instances freely
+    (immediates are decoded once, unchanged joins return ``self``), so an
+    interval is never modified after construction.  Equality, hashing and
+    ``repr`` follow the ``(lo, hi)`` field tuple.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float) -> None:
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
+
+    def __reduce__(self):
+        return (Interval, (self.lo, self.hi))
 
     # -- lattice ---------------------------------------------------------
 
@@ -96,19 +118,23 @@ class Interval:
         return self.lo <= value <= self.hi
 
     def join(self, other: "Interval") -> "Interval":
-        if self.is_bottom:
+        lo, hi = self.lo, self.hi
+        if lo > hi:
             return other
-        if other.is_bottom:
+        olo, ohi = other.lo, other.hi
+        if olo > ohi:
             return self
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+        if olo >= lo and ohi <= hi:
+            return self  # other ⊆ self: min/max would keep self's bounds
+        return Interval(min(lo, olo), max(hi, ohi))
 
     def meet(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def leq(self, other: "Interval") -> bool:
-        if self.is_bottom:
+        if self.lo > self.hi:
             return True
-        if other.is_bottom:
+        if other.lo > other.hi:
             return False
         return other.lo <= self.lo and self.hi <= other.hi
 
@@ -126,18 +152,21 @@ class Interval:
         must be sorted ascending; termination holds because each bound
         can only step through the finite threshold list before ±∞.
         """
-        if self.is_bottom:
-            return new
-        if new.is_bottom:
-            return self
         lo, hi = self.lo, self.hi
-        if new.lo < lo:
+        if lo > hi:
+            return new
+        if new.lo > new.hi:
+            return self
+        grow_lo, grow_hi = new.lo < lo, new.hi > hi
+        if not (grow_lo or grow_hi):
+            return self
+        if grow_lo:
             lo = -_INF
             for t in reversed(thresholds):
                 if t <= new.lo:
                     lo = t
                     break
-        if new.hi > hi:
+        if grow_hi:
             hi = _INF
             for t in thresholds:
                 if t >= new.hi:
@@ -147,18 +176,23 @@ class Interval:
 
     def narrow(self, new: "Interval") -> "Interval":
         """Standard interval narrowing: only infinite bounds are refined."""
-        if self.is_bottom or new.is_bottom:
+        lo, hi = self.lo, self.hi
+        if lo > hi or new.lo > new.hi:
             return self
-        return Interval(
-            new.lo if self.lo == -_INF else self.lo,
-            new.hi if self.hi == _INF else self.hi,
-        )
+        open_lo, open_hi = lo == -_INF, hi == _INF
+        if not (open_lo or open_hi):
+            return self
+        return Interval(new.lo if open_lo else lo, new.hi if open_hi else hi)
 
     # -- helpers ---------------------------------------------------------
 
     @property
     def is_finite(self) -> bool:
-        return not self.is_bottom and math.isfinite(self.lo) and math.isfinite(self.hi)
+        return (
+            not self.lo > self.hi
+            and math.isfinite(self.lo)
+            and math.isfinite(self.hi)
+        )
 
     def int_bounds(self) -> Optional[Tuple[int, int]]:
         """Bounds of ``int(x)`` (C-style truncation toward zero) over the
@@ -171,14 +205,14 @@ class Interval:
     @property
     def definitely_true(self) -> bool:
         """Every member is truthy (0.0 not contained)."""
-        return not self.is_bottom and not self.contains(0.0)
+        return not self.lo > self.hi and not self.lo <= 0.0 <= self.hi
 
     @property
     def definitely_false(self) -> bool:
         return self.lo == 0.0 and self.hi == 0.0
 
     def __str__(self) -> str:  # pragma: no cover - debug aid
-        if self.is_bottom:
+        if self.lo > self.hi:
             return "⊥"
         return f"[{self.lo:g}, {self.hi:g}]"
 
@@ -198,19 +232,19 @@ def _mul1(a: float, b: float) -> float:
 
 
 def iv_add(a: Interval, b: Interval) -> Interval:
-    if a.is_bottom or b.is_bottom:
+    if a.lo > a.hi or b.lo > b.hi:
         return BOTTOM
     return Interval(a.lo + b.lo, a.hi + b.hi)
 
 
 def iv_sub(a: Interval, b: Interval) -> Interval:
-    if a.is_bottom or b.is_bottom:
+    if a.lo > a.hi or b.lo > b.hi:
         return BOTTOM
     return Interval(a.lo - b.hi, a.hi - b.lo)
 
 
 def iv_mul(a: Interval, b: Interval) -> Interval:
-    if a.is_bottom or b.is_bottom:
+    if a.lo > a.hi or b.lo > b.hi:
         return BOTTOM
     products = (
         _mul1(a.lo, b.lo), _mul1(a.lo, b.hi),
@@ -220,7 +254,7 @@ def iv_mul(a: Interval, b: Interval) -> Interval:
 
 
 def iv_neg(a: Interval) -> Interval:
-    if a.is_bottom:
+    if a.lo > a.hi:
         return BOTTOM
     return Interval(-a.hi, -a.lo)
 
@@ -228,7 +262,7 @@ def iv_neg(a: Interval) -> Interval:
 def iv_div(a: Interval, b: Interval) -> Interval:
     """``a / b`` given the interpreter raises on a zero divisor — the
     result interval assumes ``b != 0``."""
-    if a.is_bottom or b.is_bottom:
+    if a.lo > a.hi or b.lo > b.hi:
         return BOTTOM
     if b.contains(0.0):
         # divisor may come arbitrarily close to zero on either side
@@ -242,7 +276,7 @@ def iv_div(a: Interval, b: Interval) -> Interval:
 def iv_mod(a: Interval, b: Interval) -> Interval:
     """Euclidean ``%``: the result carries the divisor's sign (Python
     float semantics, which the interpreter uses verbatim)."""
-    if a.is_bottom or b.is_bottom:
+    if a.lo > a.hi or b.lo > b.hi:
         return BOTTOM
     if b.lo > 0.0:
         if 0.0 <= a.lo and a.hi < b.lo:
@@ -254,19 +288,19 @@ def iv_mod(a: Interval, b: Interval) -> Interval:
 
 
 def iv_min(a: Interval, b: Interval) -> Interval:
-    if a.is_bottom or b.is_bottom:
+    if a.lo > a.hi or b.lo > b.hi:
         return BOTTOM
     return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
 
 
 def iv_max(a: Interval, b: Interval) -> Interval:
-    if a.is_bottom or b.is_bottom:
+    if a.lo > a.hi or b.lo > b.hi:
         return BOTTOM
     return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
 
 
 def iv_not(a: Interval) -> Interval:
-    if a.is_bottom:
+    if a.lo > a.hi:
         return BOTTOM
     if a.definitely_true:
         return ZERO
@@ -276,7 +310,7 @@ def iv_not(a: Interval) -> Interval:
 
 
 def iv_and(a: Interval, b: Interval) -> Interval:
-    if a.is_bottom or b.is_bottom:
+    if a.lo > a.hi or b.lo > b.hi:
         return BOTTOM
     if a.definitely_false or b.definitely_false:
         return ZERO
@@ -286,7 +320,7 @@ def iv_and(a: Interval, b: Interval) -> Interval:
 
 
 def iv_or(a: Interval, b: Interval) -> Interval:
-    if a.is_bottom or b.is_bottom:
+    if a.lo > a.hi or b.lo > b.hi:
         return BOTTOM
     if a.definitely_true or b.definitely_true:
         return TRUE
@@ -296,7 +330,7 @@ def iv_or(a: Interval, b: Interval) -> Interval:
 
 
 def iv_cmp(pred: str, a: Interval, b: Interval) -> Interval:
-    if a.is_bottom or b.is_bottom:
+    if a.lo > a.hi or b.lo > b.hi:
         return BOTTOM
     if pred == "lt":
         if a.hi < b.lo:
@@ -445,6 +479,9 @@ class ProgramRanges:
     program: IRProgram
     functions: Dict[str, FunctionRanges]
     arrays: Dict[str, Interval]
+    #: block transfers the fixpoint ran (worklist, narrowing and
+    #: reporting passes) — a deterministic measure of engine work
+    transfers: int = 0
 
     def fact(self, fn: str, iid: int) -> Optional[InstrFacts]:
         franges = self.functions.get(fn)
@@ -580,7 +617,7 @@ def _refine(
             continue
         current = env.get(var, ZERO)
         refined = current.meet(bound)
-        if refined.is_bottom:
+        if refined.lo > refined.hi:
             return None
         if refined != current:
             env = dict(env)
@@ -588,138 +625,235 @@ def _refine(
     return env
 
 
+# Pre-decoded instruction kinds.  A block is decoded at most once per
+# analyze_program call into a list of tuples ``(kind, ...)`` whose value
+# operands are register names (str) or the interval of an immediate;
+# opcodes without abstract effect (ret, loop bookkeeping, a callfn whose
+# result is unused) are dropped.
+_LDVAR, _CONST, _BIN, _STVAR, _CMP, _CONDBR, _BR, _LOAD, _STORE, \
+    _UNARY, _CALL, _CALLFN = range(12)
+
+_UNARY_TRANSFER = {Opcode.NEG: iv_neg, Opcode.NOT: iv_not}
+
+
+def _src(op) -> "str | Interval":
+    """A decoded value operand: a register name, or an immediate's
+    interval."""
+    if type(op) is Reg:
+        return op.name
+    return Interval(op.value, op.value)  # Imm
+
+
+def _decode_block(block: BasicBlock) -> List[tuple]:
+    code: List[tuple] = []
+    for instr in block.instrs:
+        op = instr.opcode
+        ops = instr.operands
+        if op is Opcode.LDVAR:
+            code.append((_LDVAR, instr.result.name, ops[0], instr.iid))
+        elif op is Opcode.CONST:
+            iv = Interval(ops[0].value, ops[0].value)
+            code.append((_CONST, instr.result.name, iv))
+        elif op in _BIN_TRANSFER:
+            divisor = op is Opcode.DIV or op is Opcode.MOD
+            code.append((
+                _BIN, instr.result.name, _BIN_TRANSFER[op], _src(ops[0]),
+                _src(ops[1]), instr.iid if divisor else None,
+            ))
+        elif op is Opcode.STVAR:
+            code.append((_STVAR, ops[0], _src(ops[1]), instr.iid))
+        elif op is Opcode.CMP:
+            lhs_reg = ops[0].name if type(ops[0]) is Reg else None
+            rhs_reg = ops[1].name if type(ops[1]) is Reg else None
+            code.append((
+                _CMP, instr.result.name, instr.meta.get("pred", "ne"),
+                _src(ops[0]), _src(ops[1]), lhs_reg or None, rhs_reg or None,
+            ))
+        elif op is Opcode.CONDBR:
+            cond_reg = ops[0].name if type(ops[0]) is Reg else None
+            code.append((
+                _CONDBR, _src(ops[0]), cond_reg, ops[1], ops[2], instr.iid,
+            ))
+        elif op is Opcode.BR:
+            code.append((_BR, ops[0]))
+        elif op is Opcode.LOAD:
+            code.append((
+                _LOAD, instr.result.name, ops[0], _src(ops[1]), instr.iid,
+            ))
+        elif op is Opcode.STORE:
+            code.append((
+                _STORE, ops[0], _src(ops[1]), _src(ops[2]), instr.iid,
+            ))
+        elif op in _UNARY_TRANSFER:
+            code.append((
+                _UNARY, instr.result.name, _UNARY_TRANSFER[op],
+                _src(ops[0]),
+            ))
+        elif op is Opcode.CALL:
+            code.append((
+                _CALL, instr.result.name, _INTRINSIC_TRANSFER.get(ops[0]),
+                tuple(_src(a) for a in ops[1:]), instr.iid,
+            ))
+        elif op is Opcode.CALLFN:
+            if instr.result is not None:
+                code.append((_CALLFN, instr.result.name))
+    return code
+
+
+class _BlockCode(dict):
+    """``label -> decoded block``, decoding each block on first use (an
+    unreachable block is never decoded, as it was never interpreted)."""
+
+    def __init__(self, fn: IRFunction) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, label: str) -> List[tuple]:
+        code = self[label] = _decode_block(self.fn.block(label))
+        return code
+
+
+def _note(facts: Dict[int, InstrFacts], iid: int, name: str, iv) -> None:
+    fact = facts.get(iid)
+    if fact is None:
+        fact = facts[iid] = InstrFacts()
+    if name == "dead_edge":
+        fact.dead_edge = iv
+    else:
+        old = getattr(fact, name)
+        setattr(fact, name, iv if old is None else old.join(iv))
+
+
 def _transfer_block(
-    fn: IRFunction,
-    block: BasicBlock,
+    code: List[tuple],
     env_in: Dict[str, Interval],
     arrays_iv: Dict[str, Interval],
-    store_joins: Optional[Dict[str, Interval]] = None,
+    stores: Optional[List[Tuple[str, Interval]]] = None,
     facts: Optional[Dict[int, InstrFacts]] = None,
 ) -> Dict[str, Optional[Dict[str, Interval]]]:
-    """Abstractly execute ``block`` from ``env_in``.
+    """Abstractly execute a decoded block from ``env_in``.
 
     Returns ``{successor_label: env_or_None}`` (None = provably-dead
-    edge).  When ``store_joins`` is given, joins every stored value into
-    it (the array-summary iteration); when ``facts`` is given, records
-    per-instruction :class:`InstrFacts` (the final reporting pass).
+    edge).  When ``stores`` is given, appends every ``(array, stored
+    value)`` in execution order (the array-summary iteration); when
+    ``facts`` is given, records per-instruction :class:`InstrFacts` (the
+    final reporting pass).
     """
     env = dict(env_in)
     regs: Dict[str, Interval] = {}
     var_origin: Dict[str, str] = {}        # reg -> var it was loaded from
     cmp_origin: Dict[str, _CmpOrigin] = {}
-
-    def val(op) -> Interval:
-        if type(op) is Reg:
-            return regs.get(op.name, TOP)
-        return Interval(op.value, op.value)  # Imm
-
-    def note(iid: int, **kw) -> None:
-        if facts is None:
-            return
-        fact = facts.get(iid)
-        if fact is None:
-            fact = facts[iid] = InstrFacts()
-        for name, iv in kw.items():
-            old = getattr(fact, name)
-            if name == "dead_edge":
-                setattr(fact, name, iv)
-            else:
-                setattr(fact, name, iv if old is None else old.join(iv))
-
     out: Dict[str, Optional[Dict[str, Interval]]] = {}
-    for instr in block.instrs:
-        op = instr.opcode
-        ops = instr.operands
-        if op is Opcode.CONST:
-            regs[instr.result.name] = Interval(ops[0].value, ops[0].value)
-        elif op is Opcode.LDVAR:
-            iv = env.get(ops[0], ZERO)
-            regs[instr.result.name] = iv
-            var_origin[instr.result.name] = ops[0]
-            note(instr.iid, value=iv)
-        elif op is Opcode.STVAR:
-            iv = val(ops[1])
-            env[ops[0]] = iv
+    for ins in code:
+        kind = ins[0]
+        if kind == _LDVAR:
+            _, res, var, iid = ins
+            iv = env.get(var, ZERO)
+            regs[res] = iv
+            var_origin[res] = var
+            if facts is not None:
+                _note(facts, iid, "value", iv)
+        elif kind == _CONST:
+            regs[ins[1]] = ins[2]
+        elif kind == _BIN:
+            _, res, transfer, a, b, iid = ins
+            if a.__class__ is str:
+                a = regs.get(a, TOP)
+            if b.__class__ is str:
+                b = regs.get(b, TOP)
+            regs[res] = transfer(a, b)
+            if facts is not None and iid is not None:
+                _note(facts, iid, "divisor", b)
+        elif kind == _STVAR:
+            _, var, iv, iid = ins
+            if iv.__class__ is str:
+                iv = regs.get(iv, TOP)
+            env[var] = iv
             # a later refinement through a cmp that read the old value
             # must not constrain the new one
-            stale = [r for r, v in var_origin.items() if v == ops[0]]
+            stale = [r for r, v in var_origin.items() if v == var]
             for r in stale:
                 del var_origin[r]
             for origin in cmp_origin.values():
-                if origin.lhs_var == ops[0]:
+                if origin.lhs_var == var:
                     origin.lhs_var = None
-                if origin.rhs_var == ops[0]:
+                if origin.rhs_var == var:
                     origin.rhs_var = None
-            note(instr.iid, value=iv)
-        elif op is Opcode.LOAD:
-            idx = val(ops[1])
-            loaded = arrays_iv.get(ops[0], TOP)
-            regs[instr.result.name] = loaded
-            note(instr.iid, index=idx, value=loaded)
-        elif op is Opcode.STORE:
-            idx = val(ops[1])
-            stored = val(ops[2])
-            if store_joins is not None:
-                store_joins[ops[0]] = store_joins.get(ops[0], BOTTOM).join(
-                    stored
-                )
-            note(instr.iid, index=idx, value=stored)
-        elif op is Opcode.NEG:
-            regs[instr.result.name] = iv_neg(val(ops[0]))
-        elif op is Opcode.NOT:
-            regs[instr.result.name] = iv_not(val(ops[0]))
-        elif op in _BIN_TRANSFER:
-            a, b = val(ops[0]), val(ops[1])
-            regs[instr.result.name] = _BIN_TRANSFER[op](a, b)
-            if op is Opcode.DIV or op is Opcode.MOD:
-                note(instr.iid, divisor=b)
-        elif op is Opcode.CMP:
-            a, b = val(ops[0]), val(ops[1])
-            pred = instr.meta.get("pred", "ne")
-            regs[instr.result.name] = iv_cmp(pred, a, b)
-            lhs_var = ops[0].name if type(ops[0]) is Reg else None
-            rhs_var = ops[1].name if type(ops[1]) is Reg else None
-            cmp_origin[instr.result.name] = _CmpOrigin(
+            if facts is not None:
+                _note(facts, iid, "value", iv)
+        elif kind == _CMP:
+            _, res, pred, a, b, lhs_reg, rhs_reg = ins
+            if a.__class__ is str:
+                a = regs.get(a, TOP)
+            if b.__class__ is str:
+                b = regs.get(b, TOP)
+            regs[res] = iv_cmp(pred, a, b)
+            cmp_origin[res] = _CmpOrigin(
                 pred,
-                var_origin.get(lhs_var) if lhs_var else None, a,
-                var_origin.get(rhs_var) if rhs_var else None, b,
+                var_origin.get(lhs_reg) if lhs_reg else None, a,
+                var_origin.get(rhs_reg) if rhs_reg else None, b,
             )
-        elif op is Opcode.CALL:
-            transfer = _INTRINSIC_TRANSFER.get(ops[0])
-            args = [val(a) for a in ops[1:]]
-            iv = transfer(args) if transfer is not None else TOP
-            regs[instr.result.name] = iv
-            note(instr.iid, value=iv)
-        elif op is Opcode.CALLFN:
-            if instr.result is not None:
-                regs[instr.result.name] = TOP
-        elif op is Opcode.BR:
-            out[ops[0]] = env
-        elif op is Opcode.CONDBR:
-            cond = val(ops[0])
+        elif kind == _CONDBR:
+            _, cond, cond_reg, true_label, false_label, iid = ins
+            if cond.__class__ is str:
+                cond = regs.get(cond, TOP)
             true_env: Optional[Dict[str, Interval]] = env
             false_env: Optional[Dict[str, Interval]] = dict(env)
             if cond.definitely_true:
                 false_env = None
             elif cond.definitely_false:
                 true_env = None
-            origin = (
-                cmp_origin.get(ops[0].name) if type(ops[0]) is Reg else None
-            )
+            origin = cmp_origin.get(cond_reg) if cond_reg is not None else None
             if origin is not None:
                 if true_env is not None:
                     true_env = _refine(true_env, origin, True)
                 if false_env is not None:
                     false_env = _refine(false_env, origin, False)
-            if true_env is None and false_env is not None:
-                note(instr.iid, dead_edge=ops[1])
-            elif false_env is None and true_env is not None:
-                note(instr.iid, dead_edge=ops[2])
-            out[ops[1]] = true_env
-            out[ops[2]] = false_env
-        elif op is Opcode.RET:
-            pass
-        # LOOPENTER / LOOPNEXT / LOOPEXIT: profiler bookkeeping, no effect
+            if facts is not None:
+                if true_env is None and false_env is not None:
+                    _note(facts, iid, "dead_edge", true_label)
+                elif false_env is None and true_env is not None:
+                    _note(facts, iid, "dead_edge", false_label)
+            out[true_label] = true_env
+            out[false_label] = false_env
+        elif kind == _BR:
+            out[ins[1]] = env
+        elif kind == _LOAD:
+            _, res, array, idx, iid = ins
+            loaded = arrays_iv.get(array, TOP)
+            regs[res] = loaded
+            if facts is not None:
+                if idx.__class__ is str:
+                    idx = regs.get(idx, TOP)
+                _note(facts, iid, "index", idx)
+                _note(facts, iid, "value", loaded)
+        elif kind == _STORE:
+            _, array, idx, stored, iid = ins
+            if stored.__class__ is str:
+                stored = regs.get(stored, TOP)
+            if stores is not None:
+                stores.append((array, stored))
+            if facts is not None:
+                if idx.__class__ is str:
+                    idx = regs.get(idx, TOP)
+                _note(facts, iid, "index", idx)
+                _note(facts, iid, "value", stored)
+        elif kind == _UNARY:
+            _, res, transfer, a = ins
+            if a.__class__ is str:
+                a = regs.get(a, TOP)
+            regs[res] = transfer(a)
+        elif kind == _CALL:
+            _, res, transfer, srcs, iid = ins
+            args = [
+                regs.get(a, TOP) if a.__class__ is str else a for a in srcs
+            ]
+            iv = transfer(args) if transfer is not None else TOP
+            regs[res] = iv
+            if facts is not None:
+                _note(facts, iid, "value", iv)
+        else:  # _CALLFN with a result
+            regs[ins[1]] = TOP
     return out
 
 
@@ -733,7 +867,11 @@ def _join_env(
 ) -> Dict[str, Interval]:
     out = dict(a)
     for var, iv in b.items():
-        out[var] = out.get(var, ZERO).join(iv)
+        cur = out.get(var)
+        if cur is None:
+            out[var] = ZERO.join(iv)
+        elif cur is not iv:  # x.join(x) keeps x's bounds
+            out[var] = cur.join(iv)
     for var in a:
         if var not in b:
             out[var] = out[var].join(ZERO)
@@ -741,8 +879,11 @@ def _join_env(
 
 
 def _env_leq(a: Dict[str, Interval], b: Dict[str, Interval]) -> bool:
-    for var in set(a) | set(b):
-        if not a.get(var, ZERO).leq(b.get(var, ZERO)):
+    for var, iv in a.items():
+        if not iv.leq(b.get(var, ZERO)):
+            return False
+    for var, iv in b.items():
+        if var not in a and not ZERO.leq(iv):
             return False
     return True
 
@@ -752,9 +893,13 @@ def _widen_env(
     new: Dict[str, Interval],
     thresholds: Sequence[float] = (),
 ) -> Dict[str, Interval]:
-    out = {}
-    for var in set(old) | set(new):
-        out[var] = old.get(var, ZERO).widen(new.get(var, ZERO), thresholds)
+    out = {
+        var: iv.widen(new.get(var, ZERO), thresholds)
+        for var, iv in old.items()
+    }
+    for var, iv in new.items():
+        if var not in old:
+            out[var] = ZERO.widen(iv, thresholds)
     return out
 
 
@@ -774,34 +919,54 @@ def _fn_thresholds(fn: IRFunction) -> Tuple[float, ...]:
 def _narrow_env(
     old: Dict[str, Interval], new: Dict[str, Interval]
 ) -> Dict[str, Interval]:
-    out = {}
-    for var in set(old) | set(new):
-        out[var] = old.get(var, ZERO).narrow(new.get(var, ZERO))
+    out = {var: iv.narrow(new.get(var, ZERO)) for var, iv in old.items()}
+    for var, iv in new.items():
+        if var not in old:
+            out[var] = ZERO.narrow(iv)
     return out
 
 
+class _DecodedFunction:
+    """One function prepared for a single :func:`analyze_program` call:
+    its blocks as transfer code, layout order, widening thresholds and
+    the arrays it loads (the only part of the array summaries its
+    fixpoint reads)."""
+
+    __slots__ = ("code", "layout", "entry", "params", "thresholds", "loads")
+
+    def __init__(self, fn: IRFunction) -> None:
+        self.code = _BlockCode(fn)
+        self.layout = [b.label for b in fn.blocks]
+        self.entry = fn.entry.label
+        self.params = fn.params
+        self.thresholds = _fn_thresholds(fn)
+        self.loads = tuple(sorted({
+            instr.operands[0] for block in fn.blocks
+            for instr in block.instrs if instr.opcode is Opcode.LOAD
+        }))
+
+
 def _analyze_function(
-    fn: IRFunction,
-    arrays_iv: Dict[str, Interval],
-    store_joins: Optional[Dict[str, Interval]] = None,
-    facts: Optional[Dict[int, InstrFacts]] = None,
-) -> Dict[str, Dict[str, Interval]]:
+    fn: _DecodedFunction, arrays_iv: Dict[str, Interval]
+) -> Tuple[Dict[str, Dict[str, Interval]], int]:
     """Run the intra-procedural fixpoint; returns reachable block-input
-    envs.  Parameters are ⊤ (any caller), unread scalars are 0.0."""
+    envs and the number of block transfers run.  Parameters are ⊤ (any
+    caller), unread scalars are 0.0."""
     entry_env: Dict[str, Interval] = {p: TOP for p in fn.params}
-    entry = fn.entry.label
-    thresholds = _fn_thresholds(fn)
+    entry = fn.entry
+    code = fn.code
+    thresholds = fn.thresholds
     block_in: Dict[str, Dict[str, Interval]] = {entry: entry_env}
     changes: Dict[str, int] = {}
     worklist = deque([entry])
     queued = {entry}
+    transfers = 0
 
     while worklist:
         label = worklist.popleft()
         queued.discard(label)
-        outs = _transfer_block(
-            fn, fn.block(label), block_in[label], arrays_iv
-        )
+        outs = _transfer_block(code[label], block_in[label], arrays_iv)
+        transfers += 1
         for target, env_out in outs.items():
             if env_out is None:
                 continue
@@ -825,16 +990,15 @@ def _analyze_function(
     # predecessors' refined edges, replacing only widened (infinite)
     # bounds — each sweep keeps the state a post-fixpoint, so any number
     # of sweeps is sound
-    labels = [b.label for b in fn.blocks if b.label in block_in]
+    labels = [label for label in fn.layout if label in block_in]
     for _ in range(_NARROW_PASSES):
         edge_envs: Dict[str, List[Dict[str, Interval]]] = {}
         for label in labels:
-            outs = _transfer_block(
-                fn, fn.block(label), block_in[label], arrays_iv
-            )
+            outs = _transfer_block(code[label], block_in[label], arrays_iv)
             for target, env_out in outs.items():
                 if env_out is not None:
                     edge_envs.setdefault(target, []).append(env_out)
+        transfers += len(labels)
         changed = False
         for label in labels:
             incoming = edge_envs.get(label)
@@ -851,16 +1015,25 @@ def _analyze_function(
                 changed = True
         if not changed:
             break
+    return block_in, transfers
 
-    # reporting pass: record per-instruction facts / store joins over the
-    # stabilized states
-    if store_joins is not None or facts is not None:
-        for label in labels:
-            _transfer_block(
-                fn, fn.block(label), block_in[label], arrays_iv,
-                store_joins=store_joins, facts=facts,
-            )
-    return block_in
+
+def _report(
+    fn: _DecodedFunction,
+    block_in: Dict[str, Dict[str, Interval]],
+    arrays_iv: Dict[str, Interval],
+    stores: Optional[List[Tuple[str, Interval]]] = None,
+    facts: Optional[Dict[int, InstrFacts]] = None,
+) -> int:
+    """Reporting pass: one transfer per reachable block, in layout order,
+    over the stabilized states; returns the number of transfers."""
+    labels = [label for label in fn.layout if label in block_in]
+    for label in labels:
+        _transfer_block(
+            fn.code[label], block_in[label], arrays_iv,
+            stores=stores, facts=facts,
+        )
+    return len(labels)
 
 
 def analyze_program(program: IRProgram) -> ProgramRanges:
@@ -870,14 +1043,38 @@ def analyze_program(program: IRProgram) -> ProgramRanges:
     from the deterministic ``[0, 1)`` initialization, analyze every
     function, join in everything any ``store`` may write, repeat (widening
     after a few rounds bounds accumulator-style growth).
+
+    A function's fixpoint reads the summaries only through its ``load``s,
+    so each round reuses the result of an earlier round whose loaded
+    summaries were equal.  The last (stable) round ran on the final
+    summaries, so its block states are the final ones and only the
+    fact-recording pass runs after the loop.
     """
+    decoded = {
+        name: _DecodedFunction(fn) for name, fn in program.functions.items()
+    }
+    memo: Dict[tuple, tuple] = {}
+    transfers = 0
     init = Interval(0.0, 1.0)
     arrays_iv: Dict[str, Interval] = {name: init for name in program.arrays}
     rounds = 0
     while True:
         store_joins: Dict[str, Interval] = {}
-        for fn in program.functions.values():
-            _analyze_function(fn, arrays_iv, store_joins=store_joins)
+        block_ins: Dict[str, Dict[str, Dict[str, Interval]]] = {}
+        for fn_name, fn in decoded.items():
+            key = (fn_name, tuple(arrays_iv.get(a, TOP) for a in fn.loads))
+            hit = memo.get(key)
+            if hit is None:
+                block_in, count = _analyze_function(fn, arrays_iv)
+                stores: List[Tuple[str, Interval]] = []
+                count += _report(fn, block_in, arrays_iv, stores=stores)
+                transfers += count
+                hit = memo[key] = (block_in, stores)
+            block_ins[fn_name], stores = hit
+            for array, stored in stores:
+                store_joins[array] = store_joins.get(array, BOTTOM).join(
+                    stored
+                )
         new_iv = {}
         stable = True
         for name in program.arrays:
@@ -895,14 +1092,15 @@ def analyze_program(program: IRProgram) -> ProgramRanges:
             break
 
     functions: Dict[str, FunctionRanges] = {}
-    for fn_name, fn in program.functions.items():
-        franges = FunctionRanges(name=fn_name)
-        franges.block_in = _analyze_function(
-            fn, arrays_iv, facts=franges.facts
+    for fn_name, fn in decoded.items():
+        franges = FunctionRanges(name=fn_name, block_in=block_ins[fn_name])
+        transfers += _report(
+            fn, franges.block_in, arrays_iv, facts=franges.facts
         )
         functions[fn_name] = franges
     return ProgramRanges(
-        program=program, functions=functions, arrays=dict(arrays_iv)
+        program=program, functions=functions, arrays=dict(arrays_iv),
+        transfers=transfers,
     )
 
 

@@ -2,6 +2,11 @@
 precision, fixpoint facts, and the interpreter soundness probe."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,11 +23,13 @@ from repro.analysis.ranges import (
     iv_mul,
     iv_sub,
 )
-from repro.benchsuite import build_app
+from repro.benchsuite import app_names, build_app
 from repro.ir import lower_program
 from repro.ir.builder import ProgramBuilder
+from repro.ir.passes.pipeline import apply_pipeline
 
 INF = math.inf
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def build(make):
@@ -48,6 +55,13 @@ class TestIntervalLattice:
         assert not Interval(0, 3).leq(Interval(1, 2))
         assert BOTTOM.leq(Interval(0, 0))
         assert not TOP.leq(Interval(0, 0))
+
+    def test_value_semantics_follow_the_field_tuple(self):
+        iv = Interval(-0.5, 2.0)
+        assert repr(iv) == "Interval(lo=-0.5, hi=2.0)"
+        assert iv == Interval(-0.5, 2.0) and iv != (-0.5, 2.0)
+        assert hash(iv) == hash((-0.5, 2.0))
+        assert pickle.loads(pickle.dumps(iv)) == iv
 
     def test_int_bounds_truncates_toward_zero(self):
         assert Interval(-2.7, 3.9).int_bounds() == (-2, 3)
@@ -234,9 +248,43 @@ class TestProgramFacts:
 
 
 class TestSoundness:
-    @pytest.mark.parametrize("app", ["EP", "IS", "fib", "nqueens"])
+    @pytest.mark.parametrize("app", app_names())
     def test_bundled_apps_have_no_violations(self, app):
         for program in build_app(app).programs:
-            ir = lower_program(program)
-            violations = check_soundness(ir, rng_seeds=(0,))
-            assert violations == [], violations
+            base = lower_program(program)
+            for pipeline in ("O0", "O2-unroll"):
+                ir = apply_pipeline(base, pipeline)
+                violations = check_soundness(ir, rng_seeds=(0,))
+                assert violations == [], (pipeline, violations)
+
+
+class TestDeterminism:
+    def test_env_key_order_is_hash_seed_independent(self):
+        """Block-input environments list their variables in the same
+        order in every process, whatever ``PYTHONHASHSEED`` is."""
+        script = (
+            "from repro.analysis.ranges import analyze_program\n"
+            "from repro.benchsuite import build_app\n"
+            "from repro.ir import lower_program\n"
+            "for program in build_app('IS').programs:\n"
+            "    ranges = analyze_program(lower_program(program))\n"
+            "    for fn in ranges.functions.values():\n"
+            "        for label, env in fn.block_in.items():\n"
+            "            print(label, list(env))\n"
+        )
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(SRC), env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True,
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+
+    def test_transfers_counted(self):
+        ranges = analyze_program(build(TestProgramFacts._simple_loop))
+        assert ranges.transfers > 0
